@@ -104,10 +104,10 @@ pub struct Plan {
     pub csr_expansion: bool,
     /// Is the database's CSR snapshot current (no rebuild needed)?
     pub csr_warm: bool,
-    /// `(rebuilt, total)` link-type CSR pairs of the most recent snapshot
-    /// (re)build — the incremental-invalidation statistic (`None` before
-    /// the first build).
-    pub csr_rebuilt_pairs: Option<(usize, usize)>,
+    /// `(stale, total)` link-type CSR pairs the derivation will re-freeze
+    /// before it traverses ([`Database::csr_stale_pairs`]) — the
+    /// incremental invalidation forecast for this statement.
+    pub csr_stale_pairs: (usize, usize),
     /// Residual qualification evaluated per molecule (rendered), if any.
     pub residual_filter: Option<String>,
 }
@@ -272,7 +272,7 @@ pub fn explain(db: &Database, md: &MoleculeStructure, qual: Option<&QualExpr>) -
         parallelism: suggested_strategy.effective_parallelism(),
         csr_expansion: true,
         csr_warm: db.csr_is_warm(),
-        csr_rebuilt_pairs: db.csr_rebuild_stats(),
+        csr_stale_pairs: db.csr_stale_pairs(),
         residual_filter: qual.map(|q| q.render(md, db.schema())),
     }
 }
@@ -332,13 +332,12 @@ impl fmt::Display for Plan {
             self.suggested_strategy, self.parallelism
         )?;
         if self.csr_expansion {
-            write!(
-                f,
-                "  traversal: CSR snapshot expansion ({}",
-                if self.csr_warm { "warm" } else { "built on first use" }
-            )?;
-            if let Some((rebuilt, total)) = self.csr_rebuilt_pairs {
-                write!(f, "; last rebuild re-froze {rebuilt}/{total} link-type pairs")?;
+            write!(f, "  traversal: CSR snapshot expansion (")?;
+            if self.csr_warm {
+                write!(f, "warm")?;
+            } else {
+                let (stale, total) = self.csr_stale_pairs;
+                write!(f, "built on first use, re-freezing {stale}/{total} link-type pairs")?;
             }
             writeln!(f, ")")?;
         }
@@ -530,25 +529,30 @@ mod tests {
     fn reports_incremental_rebuild_stats() {
         let mut db = db();
         let md = path(db.schema(), &["state", "area", "edge"]).unwrap();
-        // cold: no snapshot yet
+        // cold: no snapshot yet, every pair is pending
         let plan = explain(&db, &md, None);
-        assert_eq!(plan.csr_rebuilt_pairs, None);
+        assert_eq!(plan.csr_stale_pairs, (2, 2));
         assert!(!plan.csr_warm);
         // warm it, then touch one link type: only that pair re-freezes
         let _ = db.csr_snapshot();
+        assert_eq!(explain(&db, &md, None).csr_stale_pairs, (0, 2));
         let state = db.schema().atom_type_id("state").unwrap();
         let area = db.schema().atom_type_id("area").unwrap();
         let sa = db.schema().link_type_id("state-area").unwrap();
         let s = db.insert_atom(state, vec![Value::Text("X".into()), Value::Float(0.0)]).unwrap();
         let a = db.insert_atom(area, vec![Value::Int(99)]).unwrap();
         db.connect(sa, s, a).unwrap();
-        let _ = db.csr_snapshot();
         let plan = explain(&db, &md, None);
-        assert_eq!(plan.csr_rebuilt_pairs, Some((1, 2)));
-        assert!(plan.csr_warm);
+        assert_eq!(plan.csr_stale_pairs, (1, 2));
+        assert!(!plan.csr_warm);
         assert_eq!(plan.parallelism, 1);
         let text = plan.to_string();
-        assert!(text.contains("re-froze 1/2 link-type pairs"), "got: {text}");
+        assert!(text.contains("re-freezing 1/2 link-type pairs"), "got: {text}");
+        // the forecast matches what the lookup then does
+        assert_eq!(db.csr_lookup().1, (1, 2));
+        let plan = explain(&db, &md, None);
+        assert!(plan.csr_warm);
+        assert!(plan.to_string().contains("(warm)"));
     }
 
     #[test]

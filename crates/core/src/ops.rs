@@ -230,6 +230,9 @@ pub struct Engine {
     tracing: bool,
     trace_log: TraceLog,
     strategy_override: Option<Strategy>,
+    /// `(rebuilt, total)` CSR pairs of the latest derivation's snapshot
+    /// lookup ([`Engine::derivation_csr`]).
+    last_csr: (usize, usize),
 }
 
 impl Engine {
@@ -241,6 +244,7 @@ impl Engine {
             tracing: false,
             trace_log: TraceLog::new(),
             strategy_override: None,
+            last_csr: (0, 0),
         }
     }
 
@@ -270,10 +274,15 @@ impl Engine {
 
     /// Swap the engine's database for a fresh image (the session layer uses
     /// this to re-sync with a shared handle's committed state), returning
-    /// the old one. Provenance entries referring to derived types of the
-    /// old image become inert: they are only consulted for atoms of
-    /// molecule types built over that image.
+    /// the old one. Provenance entries keyed by atom or link types the new
+    /// image does not have are dropped: they describe derived types of the
+    /// old image, and the next propagation over the new image reuses those
+    /// type ids for its own copies.
     pub fn replace_db(&mut self, db: Database) -> Database {
+        self.prov.prune(
+            db.schema().atom_type_count(),
+            db.schema().link_type_count(),
+        );
         std::mem::replace(&mut self.db, db)
     }
 
@@ -298,11 +307,30 @@ impl Engine {
         }
     }
 
+    /// `(rebuilt, total)` link-type CSR pairs that the snapshot lookup of
+    /// the engine's latest derivation (α, or the Σ∘α pushdown) re-froze —
+    /// `rebuilt` is 0 when that lookup found the snapshot current, and the
+    /// pair is `(0, 0)` for strategies that do not traverse the CSR. This
+    /// is the statement's own work, whatever image the snapshot came from.
+    pub fn derivation_csr(&self) -> (usize, usize) {
+        self.last_csr
+    }
+
+    /// Bring the CSR snapshot current for a derivation under `strategy`,
+    /// recording what the lookup cost ([`Engine::derivation_csr`]).
+    fn lookup_csr(&mut self, strategy: Strategy) -> (usize, usize) {
+        self.last_csr = match strategy {
+            Strategy::Bitset | Strategy::Parallel(_) => self.db.csr_lookup().1,
+            Strategy::PerRoot | Strategy::LevelAtATime => (0, 0),
+        };
+        self.last_csr
+    }
+
     /// A [`Stage::Derivation`] describing how the last derivation over
     /// the engine's database evaluated: strategy, snapshot reuse vs CSR
     /// re-freeze, and how many root slots it visited.
     fn derivation_stage(&self, opts: &DeriveOptions, derived: usize) -> Stage {
-        let (csr_rebuilt, csr_pairs) = self.db.csr_rebuild_stats().unwrap_or((0, 0));
+        let (csr_rebuilt, csr_pairs) = self.last_csr;
         Stage::Derivation {
             strategy: format!("{:?}", opts.strategy),
             csr_rebuilt,
@@ -329,6 +357,7 @@ impl Engine {
         md: MoleculeStructure,
         opts: &DeriveOptions,
     ) -> Result<MoleculeType> {
+        self.lookup_csr(opts.strategy);
         let molecules = derive_molecules(&self.db, &md, opts)?;
         let mut trace = OpTrace::new("α");
         trace.push(self.derivation_stage(opts, molecules.len()));
@@ -390,6 +419,7 @@ impl Engine {
         strategy: Strategy,
     ) -> Result<MoleculeType> {
         qual.validate(&md, self.db.schema())?;
+        let (csr_rebuilt, csr_pairs) = self.lookup_csr(strategy);
         let candidates = self.pushdown_candidates(&md, qual, strategy)?;
         let total = candidates.len();
         let kept: Vec<Molecule> = candidates
@@ -397,7 +427,6 @@ impl Engine {
             .filter(|m| qual.qualifies(&self.db, m))
             .collect();
         let mut trace = OpTrace::new("Σ∘α (pushdown)");
-        let (csr_rebuilt, csr_pairs) = self.db.csr_rebuild_stats().unwrap_or((0, 0));
         trace.push(Stage::Derivation {
             strategy: format!("{strategy:?}"),
             csr_rebuilt,
@@ -1300,6 +1329,41 @@ mod tests {
         let t = e.trace_log().last().unwrap();
         assert_eq!(t.op, "Σ");
         assert_eq!(t.stages.len(), 3);
+    }
+
+    #[test]
+    fn replace_db_prunes_dead_provenance() {
+        let mut e = engine();
+        let committed = e.db().clone();
+        let mt = mt_state(&mut e);
+        let sp = e.restrict(&mt, &QualExpr::cmp_const(0, 0, CmpOp::Eq, "SP")).unwrap();
+        let copies = e.provenance().atom_copies();
+        assert!(copies > 0);
+        // an image that still has the derived types keeps their entries
+        let grown = e.db().clone();
+        e.replace_db(grown);
+        assert_eq!(e.provenance().atom_copies(), copies);
+        // the committed image does not: every derived-type entry goes
+        let copy_ty = sp.structure.root_node().ty;
+        let copy_atom = sp.molecules[0].root;
+        let copy_link = sp.structure.edges()[0].link;
+        assert_ne!(e.provenance().canonical_type(copy_ty), copy_ty);
+        e.replace_db(committed);
+        assert_eq!(e.provenance().atom_copies(), 0);
+        assert_eq!(e.provenance().canonical_type(copy_ty), copy_ty);
+        assert_eq!(e.provenance().canonical_atom(copy_atom), copy_atom);
+        assert_eq!(
+            e.provenance().canonical_link(copy_link, Direction::Fwd),
+            (copy_link, Direction::Fwd)
+        );
+        // the next propagation reuses those type ids for its own copies
+        let mt = mt_state(&mut e);
+        let mg = e.restrict(&mt, &QualExpr::cmp_const(0, 0, CmpOp::Eq, "MG")).unwrap();
+        assert_eq!(mg.structure.root_node().ty, copy_ty);
+        assert_eq!(e.provenance().atom_copies(), mg.molecules[0].atom_set().len());
+        e.verify_closure(&mg).unwrap();
+        let root = e.provenance().canonical_atom(mg.molecules[0].root);
+        assert_eq!(e.db().atom(root).unwrap()[0], Value::from("MG"));
     }
 
     #[test]

@@ -104,6 +104,15 @@ impl Provenance {
         self.atom_copy.contains_key(&a)
     }
 
+    /// Drop every entry keyed by an atom type id at or beyond `atom_types`
+    /// or a link type id at or beyond `link_types` — the derived types of
+    /// an image that is being replaced by one with those type counts.
+    pub fn prune(&mut self, atom_types: usize, link_types: usize) {
+        self.atom_copy.retain(|a, _| (a.ty.0 as usize) < atom_types);
+        self.type_copy.retain(|t, _| (t.0 as usize) < atom_types);
+        self.link_copy.retain(|l, _| (l.0 as usize) < link_types);
+    }
+
     /// Number of recorded atom copies (diagnostics).
     pub fn atom_copies(&self) -> usize {
         self.atom_copy.len()

@@ -460,7 +460,7 @@ pub fn execute_planned(engine: &mut Engine, plan: &PreparedPlan) -> Result<State
         )?,
     };
     if dt.is_timing() {
-        let (csr_rebuilt, csr_pairs) = engine.db().csr_rebuild_stats().unwrap_or((0, 0));
+        let (csr_rebuilt, csr_pairs) = engine.derivation_csr();
         dt.finish_with(
             Some(format!("{strategy:?}")),
             &[

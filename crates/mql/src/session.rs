@@ -16,11 +16,30 @@
 //!   pre-transaction state bit for bit.
 //! * **Shared** ([`Session::shared`]): many sessions — typically one per
 //!   serving thread — hold clones of one [`DbHandle`]. Queries run against
-//!   the session's fork of the committed snapshot (refreshed when other
-//!   sessions commit); each DML statement outside a transaction is an
-//!   implicit single-op transaction (autocommit); `BEGIN … COMMIT` groups
-//!   statements into one atomic, snapshot-isolated unit whose SELECTs read
-//!   through the transaction's own write overlay.
+//!   the session's fork of the committed snapshot; each DML statement
+//!   outside a transaction is an implicit single-op transaction
+//!   (autocommit); `BEGIN … COMMIT` groups statements into one atomic,
+//!   snapshot-isolated unit whose SELECTs read through the transaction's
+//!   own write overlay.
+//!
+//! ## The shared working image is per-statement scratch
+//!
+//! Every query result is a molecule type over an enlarged database DB′
+//! (`prop`, Def. 9): propagation writes derived atom and link types into
+//! the image the query ran against. In shared mode that image is the
+//! session's fork, and it lives only until the session's next statement.
+//! A statement that runs through the engine outside a transaction
+//! (SELECT, EXPLAIN, DEFINE, a prepared SELECT) marks the fork dirty, and
+//! the next statement re-forks the committed image before it reads. So a
+//! result's derived types stay readable through [`Session::db`] for
+//! rendering until then, and a long-lived session's statements never slow
+//! down as derived types pile up. The same refresh point re-forks when any
+//! session committed; it is the only place a shared session forks. Every
+//! fork starts CSR-warm: the first reader of a published image builds that
+//! image's CSR snapshot once, for all sessions ([`DbHandle::fork`]).
+//!
+//! In single-owner mode the working image is the data itself, so derived
+//! types accumulate there exactly as in the paper's algebra.
 
 use crate::ast::{FromClause, Lit, Statement};
 use crate::exec::{
@@ -97,8 +116,12 @@ pub struct Session {
     /// `Some` when serving a shared database through a [`DbHandle`].
     shared: Option<DbHandle>,
     /// Commit sequence the engine's database fork was taken at (shared
-    /// mode; used to detect staleness after other sessions commit).
+    /// mode; used to detect staleness after any session commits).
     base_seq: u64,
+    /// Shared mode: a statement ran through the engine since the fork was
+    /// taken, so the fork may hold its propagated types — re-fork before
+    /// the next statement reads.
+    scratch_dirty: bool,
     /// The open explicit transaction, if any.
     txn: Option<ActiveTxn>,
     /// The metrics registry this session reports into: the shared handle's
@@ -121,6 +144,7 @@ impl Session {
             catalog: FxHashMap::default(),
             shared: None,
             base_seq: 0,
+            scratch_dirty: false,
             txn: None,
             obs,
             metrics,
@@ -138,6 +162,7 @@ impl Session {
             catalog: FxHashMap::default(),
             shared: None,
             base_seq: 0,
+            scratch_dirty: false,
             txn: None,
             obs,
             metrics,
@@ -149,19 +174,22 @@ impl Session {
     /// (across threads) may serve the same handle concurrently; each sees
     /// consistent committed snapshots and commits through `mad_txn`.
     pub fn shared(handle: DbHandle) -> Self {
-        let (db, base_seq) = handle.fork();
         let obs = handle.obs().clone();
         let metrics = MqlMetrics::new(&obs);
-        Session {
-            engine: Engine::new(db),
+        let mut session = Session {
+            engine: Engine::new(Database::empty()),
             catalog: FxHashMap::default(),
             shared: Some(handle),
-            base_seq,
+            base_seq: 0,
+            // no fork yet: the refresh point takes the first one
+            scratch_dirty: true,
             txn: None,
             obs,
             metrics,
             prepared: FxHashMap::default(),
-        }
+        };
+        session.refresh_if_stale();
+        session
     }
 
     /// The metrics registry this session reports into — the shared
@@ -187,14 +215,17 @@ impl Session {
         &self.engine
     }
 
-    /// Mutable access to the engine (e.g. to create indexes).
+    /// Mutable access to the engine (e.g. to create indexes). In shared
+    /// mode the engine's database is the per-statement working image, so a
+    /// change made here lasts until the session's next query statement.
     pub fn engine_mut(&mut self) -> &mut Engine {
         &mut self.engine
     }
 
     /// The database this session currently reads: inside a transaction the
     /// transaction's view (its own writes included), otherwise the
-    /// session's working image.
+    /// session's working image — in shared mode, the fork the last query
+    /// ran against, derived types included, until the next statement.
     pub fn db(&self) -> &Database {
         match &self.txn {
             Some(active) => active.qe.db(),
@@ -226,9 +257,11 @@ impl Session {
         self.strategy().parallelism()
     }
 
-    /// `(rebuilt, total)` link-type CSR pairs of the database's most recent
-    /// snapshot (re)build — shows the incremental invalidation at work
-    /// (`None` before the first SELECT builds a snapshot).
+    /// `(rebuilt, total)` link-type CSR pairs of the most recent rebuild
+    /// behind the current image's cached snapshot — shows the incremental
+    /// invalidation at work (`None` before the first SELECT builds a
+    /// snapshot). A shared session's fork inherits the statistic of the
+    /// published image it was forked from.
     pub fn csr_rebuild_stats(&self) -> Option<(usize, usize)> {
         self.db().csr_rebuild_stats()
     }
@@ -319,6 +352,7 @@ impl Session {
             _ if self.shared.is_some() && is_dml(stmt) => self.execute_autocommit_dml(stmt),
             _ => {
                 self.refresh_if_stale();
+                self.scratch_dirty = true;
                 execute(&mut self.engine, &mut self.catalog, stmt)
             }
         }
@@ -422,6 +456,7 @@ impl Session {
                 catalog,
                 prepared,
                 metrics,
+                scratch_dirty,
                 ..
             } = self;
             if let Some(entry) = prepared.get_mut(name) {
@@ -429,12 +464,14 @@ impl Session {
                     if let Some((seq, plan)) = &entry.plan {
                         if *seq == base_seq {
                             metrics.prepared_hits.inc();
+                            *scratch_dirty = true;
                             return execute_planned(engine, plan);
                         }
                     }
                     if !matches!(sel.from, FromClause::Recursive { .. }) {
                         metrics.prepared_misses.inc();
                         if let Some(plan) = plan_select(engine, catalog, sel)? {
+                            *scratch_dirty = true;
                             let result = execute_planned(engine, &plan);
                             entry.plan = Some((base_seq, plan));
                             return result;
@@ -604,7 +641,6 @@ impl Session {
                 "a transaction is already open (COMMIT or ABORT it first)",
             ));
         }
-        self.refresh_if_stale();
         let handle = match &self.shared {
             Some(h) => h.clone(),
             // single-owner mode: wrap the current state in a throwaway
@@ -627,11 +663,13 @@ impl Session {
             .take()
             .ok_or_else(|| MadError::txn_state("no open transaction to COMMIT"))?;
         let info = active.txn.commit()?;
-        // re-sync the session's working image with the committed state
-        // (covers both the throwaway owner-mode handle and the shared one)
-        let (db, seq) = active.handle.fork();
-        self.engine.replace_db(db);
-        self.base_seq = seq;
+        // single-owner mode: the working image is the data itself, so it
+        // becomes the throwaway handle's committed state. A shared session
+        // is now stale (its commit moved the handle's sequence) and
+        // re-forks at its next statement.
+        if self.shared.is_none() {
+            self.engine.replace_db((*active.handle.committed()).clone());
+        }
         Ok(info)
     }
 
@@ -686,7 +724,8 @@ impl Session {
     }
 
     /// One DML statement in shared autocommit mode: an implicit
-    /// transaction — begin, apply, commit, refresh. The user never asked
+    /// transaction — begin, apply, commit; the commit leaves the session
+    /// stale, so its next statement re-forks. The user never asked
     /// for a transaction, so a first-committer-wins conflict is retried
     /// internally against a fresh snapshot (the statement is
     /// self-contained: selectors re-resolve on every attempt) instead of
@@ -706,9 +745,6 @@ impl Session {
                     if let StatementResult::Inserted(id) = &mut result {
                         *id = info.resolve(*id);
                     }
-                    let (db, seq) = handle.fork();
-                    self.engine.replace_db(db);
-                    self.base_seq = seq;
                     return Ok(result);
                 }
                 Err(e) if e.is_conflict() && attempt < MAX_RETRIES => {
@@ -719,15 +755,20 @@ impl Session {
         }
     }
 
-    /// Shared mode: re-fork the committed state when other sessions
-    /// committed since our fork was taken. Local derived-type enlargement
-    /// from past queries is dropped with the stale fork.
+    /// Shared mode: the one refresh point, and the only place a shared
+    /// session forks. Re-forks the committed image when any session
+    /// committed since the fork was taken, or when a statement ran through
+    /// the engine on it — so a query's DB′ (its propagated derived types)
+    /// lives until the session's next statement and is dropped here. The
+    /// fresh fork starts CSR-warm: the first reader of a published image
+    /// builds its snapshot once for every session ([`DbHandle::fork`]).
     fn refresh_if_stale(&mut self) {
         if let Some(h) = &self.shared {
-            if h.commit_seq() != self.base_seq {
+            if self.scratch_dirty || h.commit_seq() != self.base_seq {
                 let (db, seq) = h.fork();
                 self.engine.replace_db(db);
                 self.base_seq = seq;
+                self.scratch_dirty = false;
             }
         }
     }
@@ -1430,6 +1471,24 @@ mod tests {
         assert_eq!(mt.len(), 1, "the analyzed INSERT committed");
         // nesting is rejected
         assert!(s.execute("EXPLAIN ANALYZE EXPLAIN ANALYZE SELECT ALL FROM state").is_err());
+    }
+
+    #[test]
+    fn derive_note_reports_this_statements_csr_work() {
+        let mut s = Session::shared(DbHandle::new(mini_geo()));
+        let pairs = s.db().schema().link_type_count();
+        let q = "SELECT ALL FROM state-area-edge WHERE state.sname = 'SP'";
+        s.execute(q).unwrap();
+        // the second read runs on a fresh fork of the warm published
+        // image: it re-freezes nothing, whatever the image inherited
+        let r = s.execute(&format!("EXPLAIN ANALYZE {q}")).unwrap();
+        let StatementResult::Analyzed { trace, .. } = r else {
+            panic!("expected Analyzed, got {r:?}")
+        };
+        let text = trace.render();
+        assert!(text.contains("csr_rebuilt=0"), "got: {text}");
+        assert!(text.contains(&format!("csr_pairs={pairs}")), "got: {text}");
+        assert_eq!(s.csr_rebuild_stats(), Some((pairs, pairs)), "inherited statistic");
     }
 
     #[test]

@@ -133,9 +133,9 @@ impl CsrSnapshot {
         for (lt, def) in schema.link_types() {
             let version = db.link_version(lt);
             let li = lt.0 as usize;
-            let reusable = prev.and_then(|p| {
-                (p.link_versions.get(li) == Some(&version)).then(|| Arc::clone(&p.links[li]))
-            });
+            let reusable = prev
+                .filter(|p| p.pair_is_current(lt, version))
+                .map(|p| Arc::clone(&p.links[li]));
             let pair = match reusable {
                 Some(pair) => pair,
                 None => {
@@ -171,6 +171,12 @@ impl CsrSnapshot {
             },
             rebuilt,
         )
+    }
+
+    /// Was the CSR pair of `lt` frozen at link version `version` (still
+    /// current, so a rebuild can share it)?
+    pub(crate) fn pair_is_current(&self, lt: LinkTypeId, version: u64) -> bool {
+        self.link_versions.get(lt.0 as usize) == Some(&version)
     }
 
     /// The slot horizon of atom type `ty` at build time — the capacity a

@@ -27,7 +27,7 @@ use mad_model::{
     Schema, Value,
 };
 use std::ops::Bound;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Traversal direction through a link type.
 ///
@@ -82,9 +82,19 @@ struct CsrCacheState {
     last_rebuild: Option<(usize, usize)>,
 }
 
+impl CsrCache {
+    /// The cache state. A panic while the mutex was held cannot leave the
+    /// state invalid — a rebuild takes the old snapshot out, then stores
+    /// whole values — so a poisoned lock is recovered, not propagated to
+    /// every later reader of a shared image.
+    fn lock(&self) -> MutexGuard<'_, CsrCacheState> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 impl Clone for CsrCache {
     fn clone(&self) -> Self {
-        CsrCache(Mutex::new(self.0.lock().unwrap().clone()))
+        CsrCache(Mutex::new(self.lock().clone()))
     }
 }
 
@@ -588,38 +598,68 @@ impl Database {
     /// every worker of a parallel one) runs against one consistent
     /// adjacency image.
     pub fn csr_snapshot(&self) -> Arc<CsrSnapshot> {
-        let mut guard = self.csr.0.lock().unwrap();
+        self.csr_lookup().0
+    }
+
+    /// [`Database::csr_snapshot`] together with what *this* call did:
+    /// `(rebuilt, total)` link-type CSR pairs, where `rebuilt` is 0 when
+    /// the cached snapshot was already current. Derivation notes report
+    /// this outcome, not [`Database::csr_rebuild_stats`] — a fork inherits
+    /// its origin's last rebuild, so that statistic can describe work
+    /// another image did.
+    pub fn csr_lookup(&self) -> (Arc<CsrSnapshot>, (usize, usize)) {
+        let total = self.schema.link_type_count();
+        let mut guard = self.csr.lock();
         if let Some((version, snap)) = guard.snap.as_ref() {
             if *version == self.structural_version {
-                return Arc::clone(snap);
+                return (Arc::clone(snap), (0, total));
             }
         }
         let prev = guard.snap.take().map(|(_, s)| s);
         let (snap, rebuilt) = CsrSnapshot::rebuild(self, prev.as_deref());
         let snap = Arc::new(snap);
-        guard.last_rebuild = Some((rebuilt, self.schema.link_type_count()));
+        guard.last_rebuild = Some((rebuilt, total));
         guard.snap = Some((self.structural_version, Arc::clone(&snap)));
-        snap
+        (snap, (rebuilt, total))
+    }
+
+    /// `(stale, total)` link-type CSR pairs: how many pairs the next
+    /// [`Database::csr_lookup`] would re-freeze (every pair when no
+    /// snapshot is cached, 0 when the cached one is current). EXPLAIN
+    /// reports this forecast for the statement it plans.
+    pub fn csr_stale_pairs(&self) -> (usize, usize) {
+        let total = self.schema.link_type_count();
+        let guard = self.csr.lock();
+        let stale = match guard.snap.as_ref() {
+            None => total,
+            Some((version, _)) if *version == self.structural_version => 0,
+            Some((_, snap)) => self
+                .schema
+                .link_types()
+                .filter(|&(lt, _)| !snap.pair_is_current(lt, self.link_version(lt)))
+                .count(),
+        };
+        (stale, total)
     }
 
     /// Is a current (non-stale) CSR snapshot already built? EXPLAIN uses
     /// this to report whether bitset derivation starts warm.
     pub fn csr_is_warm(&self) -> bool {
         self.csr
-            .0
             .lock()
-            .unwrap()
             .snap
             .as_ref()
             .is_some_and(|(v, _)| *v == self.structural_version)
     }
 
-    /// `(rebuilt, total)` link-type CSR pairs of the most recent snapshot
-    /// (re)build, or `None` before the first build. EXPLAIN reports this to
-    /// show the incremental invalidation at work: after one `connect`, only
-    /// the touched pair is re-frozen.
+    /// `(rebuilt, total)` link-type CSR pairs of the most recent rebuild
+    /// behind this image's cached snapshot, or `None` before the first
+    /// build: after one `connect`, only the touched pair is re-frozen. A
+    /// clone inherits the statistic with the snapshot, so on a fork it may
+    /// describe a rebuild the origin did; [`Database::csr_lookup`] reports
+    /// one call's own work.
     pub fn csr_rebuild_stats(&self) -> Option<(usize, usize)> {
-        self.csr.0.lock().unwrap().last_rebuild
+        self.csr.lock().last_rebuild
     }
 
     // ------------------------------------------------------------------
@@ -1071,6 +1111,29 @@ mod tests {
         db.delete_atom(a).unwrap();
         let _ = db.csr_snapshot();
         assert_eq!(db.csr_rebuild_stats(), Some((2, 2)), "cascade touched both link types");
+    }
+
+    #[test]
+    fn csr_lookup_reports_its_own_work() {
+        let mut db = geo_db();
+        let state = db.schema().atom_type_id("state").unwrap();
+        let area = db.schema().atom_type_id("area").unwrap();
+        let sa = db.schema().link_type_id("state-area").unwrap();
+        let s = db.insert_atom(state, vec![Value::from("SP"), Value::from(1)]).unwrap();
+        let a = db.insert_atom(area, vec![Value::from(1)]).unwrap();
+        assert_eq!(db.csr_stale_pairs(), (2, 2), "cold: every pair is pending");
+        assert_eq!(db.csr_lookup().1, (2, 2));
+        assert_eq!(db.csr_stale_pairs(), (0, 2));
+        assert_eq!(db.csr_lookup().1, (0, 2), "a current snapshot costs nothing");
+        // a fork inherits the origin's statistic, not its work
+        let fork = db.clone();
+        assert_eq!(fork.csr_rebuild_stats(), Some((2, 2)));
+        assert_eq!(fork.csr_lookup().1, (0, 2));
+        // one connect: exactly the touched pair is forecast, then re-frozen
+        db.connect(sa, s, a).unwrap();
+        assert_eq!(db.csr_stale_pairs(), (1, 2));
+        assert_eq!(db.csr_lookup().1, (1, 2));
+        assert_eq!(db.csr_lookup().1, (0, 2));
     }
 
     #[test]

@@ -882,9 +882,16 @@ impl DbHandle {
 
     /// A copy-on-write fork of the committed image plus the sequence number
     /// it was taken at — the cheap way for a session to get a *mutable*
-    /// working copy (e.g. for autocommit query scratch space).
+    /// working copy (e.g. for per-statement query scratch space).
+    ///
+    /// The fork starts CSR-warm. The first fork of a published image builds
+    /// that image's CSR snapshot — incrementally from the one it inherited,
+    /// under the image's own cache mutex, so concurrent first readers wait
+    /// for one build instead of each rebuilding a private copy — and every
+    /// later fork of the image shares it.
     pub fn fork(&self) -> (Database, u64) {
         let img = self.inner.published.read();
+        drop(img.db.csr_snapshot());
         ((*img.db).clone(), img.seq)
     }
 

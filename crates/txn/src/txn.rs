@@ -838,6 +838,39 @@ mod tests {
     }
 
     #[test]
+    fn forks_share_the_published_images_csr_snapshot() {
+        let schema = SchemaBuilder::new()
+            .atom_type("a", &[("x", AttrType::Int)])
+            .atom_type("b", &[("y", AttrType::Int)])
+            .link_type("ab", "a", "b")
+            .build()
+            .unwrap();
+        let mut db = Database::new(schema);
+        let a = db.schema().atom_type_id("a").unwrap();
+        let b = db.schema().atom_type_id("b").unwrap();
+        let ab = db.schema().link_type_id("ab").unwrap();
+        let a0 = db.insert_atom(a, vec![Value::from(0)]).unwrap();
+        let b0 = db.insert_atom(b, vec![Value::from(0)]).unwrap();
+        db.connect(ab, a0, b0).unwrap();
+        let h = DbHandle::new(db);
+        assert!(!h.committed().csr_is_warm());
+        // the first fork builds the published image's snapshot, once
+        let (f1, _) = h.fork();
+        assert!(h.committed().csr_is_warm() && f1.csr_is_warm());
+        let (f2, _) = h.fork();
+        assert_eq!(f2.csr_lookup().1, (0, 1), "a fork starts warm");
+        assert!(Arc::ptr_eq(&f1.csr_snapshot(), &f2.csr_snapshot()));
+        // a commit publishes a new image; its first fork warms that one
+        let mut txn = Transaction::begin(&h);
+        let b1 = txn.insert_atom(b, vec![Value::from(1)]).unwrap();
+        txn.connect(ab, a0, b1).unwrap();
+        txn.commit().unwrap();
+        let (f3, _) = h.fork();
+        assert!(f3.csr_is_warm());
+        assert_eq!(h.committed().csr_rebuild_stats(), Some((1, 1)));
+    }
+
+    #[test]
     fn committed_reads_bypass_the_publication_mutex() {
         // the lock-free-publication bugfix: a commit stalled inside the
         // publication mutex (e.g. on a WAL fsync) must not block snapshot

@@ -27,7 +27,11 @@
 #  10. the observability smoke: a real `madd --slow-query-ms 0` daemon
 #      driven over TCP by `madc`, asserting EXPLAIN ANALYZE renders a
 #      staged trace, SHOW STATS serves table + JSON forms, and the
-#      slow-query ring buffer recorded the traffic.
+#      slow-query ring buffer recorded the traffic,
+#  11. the repository benchmark (perfbench/, a package outside the
+#      workspace, so `--workspace` never builds it): its unit tests, and
+#      a 2-second `serve_read` smoke that must verify every answer — an
+#      API change in a serving crate cannot break the benchmark unnoticed.
 #
 # Any step failing fails the script.
 set -euo pipefail
@@ -87,5 +91,21 @@ grep -q 'net\.stmt_ns' <<<"$SMOKE" || fail "SHOW STATS net lost the statement hi
 grep -q '"mql.statements"' <<<"$SMOKE" || fail "SHOW STATS mql AS JSON lost the statement counter"
 # --slow-query-ms 0 records every statement: the ring buffer must be non-empty
 grep -Eq 'net\.slow\.recorded +[1-9]' <<<"$SMOKE" || fail "slow-query log recorded nothing at threshold 0"
+
+echo "== perfbench unit tests (outside the workspace)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "== perfbench serve_read smoke (2 s, untraced)"
+BENCH_OUT="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload serve_read --seed 1 --seconds 2 --trace 0)" || {
+  printf '%s\n' "$BENCH_OUT"
+  echo "perfbench smoke: serve_read exited non-zero"
+  exit 1
+}
+tail -n 1 <<<"$BENCH_OUT" | grep -q '"correct": true' || {
+  printf '%s\n' "$BENCH_OUT"
+  echo "perfbench smoke: serve_read did not report \"correct\": true"
+  exit 1
+}
 
 echo "ci.sh: all green"
