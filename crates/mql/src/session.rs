@@ -6,40 +6,35 @@
 //! (§5): the session's `Engine` is the molecule-processing component, the
 //! `Database` underneath is the atom-oriented component.
 //!
-//! ## Two ownership modes
+//! ## Sessions serve a handle
 //!
-//! * **Single-owner** ([`Session::new`] / [`Session::with_engine`]): the
-//!   session owns its database; outside a transaction every statement
-//!   applies directly (exactly the pre-transaction behavior — autocommit).
-//!   `BEGIN` wraps the current state in a throwaway [`DbHandle`] and runs
-//!   the real `mad_txn` machinery against it, so `ABORT` restores the
-//!   pre-transaction state bit for bit.
-//! * **Shared** ([`Session::shared`]): many sessions — typically one per
-//!   serving thread — hold clones of one [`DbHandle`]. Queries run against
-//!   the session's fork of the committed snapshot; each DML statement
-//!   outside a transaction is an implicit single-op transaction
-//!   (autocommit); `BEGIN … COMMIT` groups statements into one atomic,
-//!   snapshot-isolated unit whose SELECTs read through the transaction's
-//!   own write overlay.
+//! Every session serves a [`DbHandle`]: [`Session::shared`] takes a clone
+//! of one that many sessions — typically one per serving thread — share,
+//! and [`Session::new`] opens a private one over a database. Queries run
+//! against the session's fork of the committed snapshot; each DML
+//! statement outside a transaction is an implicit single-op transaction
+//! (autocommit); `BEGIN … COMMIT` groups statements into one atomic,
+//! snapshot-isolated unit whose SELECTs read through the transaction's own
+//! write overlay.
 //!
-//! ## The shared working image is per-statement scratch
+//! ## The working image is per-statement scratch
 //!
 //! Every query result is a molecule type over an enlarged database DB′
 //! (`prop`, Def. 9): propagation writes derived atom and link types into
-//! the image the query ran against. In shared mode that image is the
-//! session's fork, and it lives only until the session's next statement.
+//! the image the query ran against. That image is the session's fork, and
+//! it lives only until the session's next statement.
 //! A statement that runs through the engine outside a transaction
 //! (SELECT, EXPLAIN, DEFINE, a prepared SELECT) marks the fork dirty, and
 //! the next statement re-forks the committed image before it reads. So a
 //! result's derived types stay readable through [`Session::db`] for
 //! rendering until then, and a long-lived session's statements never slow
 //! down as derived types pile up. The same refresh point re-forks when any
-//! session committed; it is the only place a shared session forks. Every
-//! fork starts CSR-warm: the first reader of a published image builds that
+//! session committed; it is the only place a session forks. Every fork
+//! starts CSR-warm: the first reader of a published image builds that
 //! image's CSR snapshot once, for all sessions ([`DbHandle::fork`]).
 //!
-//! In single-owner mode the working image is the data itself, so derived
-//! types accumulate there exactly as in the paper's algebra.
+//! Derived types accumulating across queries, as in the paper's algebra,
+//! is the behavior of a plain [`Engine`], which owns its database.
 
 use crate::ast::{FromClause, Lit, Statement};
 use crate::exec::{
@@ -61,7 +56,6 @@ use std::time::Instant;
 /// a fork of the overlay view (kept so consecutive in-transaction SELECTs
 /// share one consistently-enlarged database image).
 struct ActiveTxn {
-    handle: DbHandle,
     txn: Transaction,
     qe: Engine,
 }
@@ -113,20 +107,17 @@ struct PreparedStmt {
 pub struct Session {
     engine: Engine,
     catalog: FxHashMap<String, MoleculeStructure>,
-    /// `Some` when serving a shared database through a [`DbHandle`].
-    shared: Option<DbHandle>,
-    /// Commit sequence the engine's database fork was taken at (shared
-    /// mode; used to detect staleness after any session commits).
+    /// The database handle this session serves.
+    handle: DbHandle,
+    /// Commit sequence the engine's database fork was taken at (used to
+    /// detect staleness after any session commits).
     base_seq: u64,
-    /// Shared mode: a statement ran through the engine since the fork was
-    /// taken, so the fork may hold its propagated types — re-fork before
-    /// the next statement reads.
+    /// A statement ran through the engine since the fork was taken, so the
+    /// fork may hold its propagated types — re-fork before the next
+    /// statement reads.
     scratch_dirty: bool,
     /// The open explicit transaction, if any.
     txn: Option<ActiveTxn>,
-    /// The metrics registry this session reports into: the shared handle's
-    /// deployment registry, or a private one in single-owner mode.
-    obs: Registry,
     /// Cached metric handles (no registry lock on the statement path).
     metrics: MqlMetrics,
     /// The prepared-statement cache (`PREPARE` / `EXECUTE` / `DEALLOCATE`).
@@ -135,56 +126,24 @@ pub struct Session {
 }
 
 impl Session {
-    /// Open a single-owner session over a database.
+    /// Open a session over a private handle on `db`.
     pub fn new(db: Database) -> Self {
-        let obs = Registry::new();
-        let metrics = MqlMetrics::new(&obs);
-        Session {
-            engine: Engine::new(db),
-            catalog: FxHashMap::default(),
-            shared: None,
-            base_seq: 0,
-            scratch_dirty: false,
-            txn: None,
-            obs,
-            metrics,
-            prepared: FxHashMap::default(),
-        }
-    }
-
-    /// Open a single-owner session over an existing engine (keeps its
-    /// provenance/trace).
-    pub fn with_engine(engine: Engine) -> Self {
-        let obs = Registry::new();
-        let metrics = MqlMetrics::new(&obs);
-        Session {
-            engine,
-            catalog: FxHashMap::default(),
-            shared: None,
-            base_seq: 0,
-            scratch_dirty: false,
-            txn: None,
-            obs,
-            metrics,
-            prepared: FxHashMap::default(),
-        }
+        Session::shared(DbHandle::new(db))
     }
 
     /// Open a session over a shared [`DbHandle`]. Any number of sessions
     /// (across threads) may serve the same handle concurrently; each sees
     /// consistent committed snapshots and commits through `mad_txn`.
     pub fn shared(handle: DbHandle) -> Self {
-        let obs = handle.obs().clone();
-        let metrics = MqlMetrics::new(&obs);
+        let metrics = MqlMetrics::new(handle.obs());
         let mut session = Session {
             engine: Engine::new(Database::empty()),
             catalog: FxHashMap::default(),
-            shared: Some(handle),
+            handle,
             base_seq: 0,
             // no fork yet: the refresh point takes the first one
             scratch_dirty: true,
             txn: None,
-            obs,
             metrics,
             prepared: FxHashMap::default(),
         };
@@ -192,16 +151,15 @@ impl Session {
         session
     }
 
-    /// The metrics registry this session reports into — the shared
-    /// deployment's registry ([`DbHandle::obs`]) in shared mode, a private
-    /// per-session one otherwise. `SHOW STATS` renders exactly this.
+    /// The metrics registry this session reports into — the deployment's
+    /// registry ([`DbHandle::obs`]). `SHOW STATS` renders exactly this.
     pub fn obs(&self) -> &Registry {
-        &self.obs
+        self.handle.obs()
     }
 
-    /// The shared handle this session serves, if it is in shared mode.
+    /// The handle this session serves (always `Some`).
     pub fn handle(&self) -> Option<&DbHandle> {
-        self.shared.as_ref()
+        Some(&self.handle)
     }
 
     /// Is an explicit transaction (`BEGIN` without `COMMIT`/`ABORT`) open?
@@ -215,17 +173,13 @@ impl Session {
         &self.engine
     }
 
-    /// Mutable access to the engine (e.g. to create indexes). In shared
-    /// mode the engine's database is the per-statement working image, so a
-    /// change made here lasts until the session's next query statement.
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
-    }
-
     /// The database this session currently reads: inside a transaction the
     /// transaction's view (its own writes included), otherwise the
-    /// session's working image — in shared mode, the fork the last query
-    /// ran against, derived types included, until the next statement.
+    /// session's working image — the fork the last query ran against,
+    /// derived types included, until the next statement. After an
+    /// autocommit DML the working image is stale: the committed change
+    /// shows here from the next statement on ([`DbHandle::committed`]
+    /// reads it at once).
     pub fn db(&self) -> &Database {
         match &self.txn {
             Some(active) => active.qe.db(),
@@ -259,9 +213,8 @@ impl Session {
 
     /// `(rebuilt, total)` link-type CSR pairs of the most recent rebuild
     /// behind the current image's cached snapshot — shows the incremental
-    /// invalidation at work (`None` before the first SELECT builds a
-    /// snapshot). A shared session's fork inherits the statistic of the
-    /// published image it was forked from.
+    /// invalidation at work. A session's fork inherits the statistic of
+    /// the published image it was forked from.
     pub fn csr_rebuild_stats(&self) -> Option<(usize, usize)> {
         self.db().csr_rebuild_stats()
     }
@@ -349,7 +302,7 @@ impl Session {
             Statement::ExecutePrepared { name, args } => self.execute_prepared(name, args),
             Statement::Deallocate { name } => self.deallocate(name.as_deref()),
             _ if self.txn.is_some() => self.execute_in_txn(stmt),
-            _ if self.shared.is_some() && is_dml(stmt) => self.execute_autocommit_dml(stmt),
+            _ if is_dml(stmt) => self.execute_autocommit_dml(stmt),
             _ => {
                 self.refresh_if_stale();
                 self.scratch_dirty = true;
@@ -520,7 +473,7 @@ impl Session {
     /// `SHOW STATS [subsystem] [AS JSON]`: snapshot the registry (polling
     /// every live gauge) and render it.
     fn show_stats(&self, subsystem: Option<&str>, json: bool) -> Result<StatementResult> {
-        let snap = self.obs.snapshot(subsystem);
+        let snap = self.obs().snapshot(subsystem);
         if snap.is_empty() {
             if let Some(s) = subsystem {
                 return Err(MadError::unknown("stats subsystem", s));
@@ -641,16 +594,9 @@ impl Session {
                 "a transaction is already open (COMMIT or ABORT it first)",
             ));
         }
-        let handle = match &self.shared {
-            Some(h) => h.clone(),
-            // single-owner mode: wrap the current state in a throwaway
-            // handle so the full mad_txn machinery (overlay, op log,
-            // atomic publish) runs identically
-            None => DbHandle::new(self.engine.db().clone()),
-        };
-        let txn = Transaction::begin(&handle);
-        let qe = self.fork_query_engine(&txn);
-        self.txn = Some(ActiveTxn { handle, txn, qe });
+        let txn = Transaction::begin(&self.handle);
+        let qe = query_engine(&txn, self.strategy());
+        self.txn = Some(ActiveTxn { txn, qe });
         Ok(())
     }
 
@@ -662,15 +608,9 @@ impl Session {
             .txn
             .take()
             .ok_or_else(|| MadError::txn_state("no open transaction to COMMIT"))?;
-        let info = active.txn.commit()?;
-        // single-owner mode: the working image is the data itself, so it
-        // becomes the throwaway handle's committed state. A shared session
-        // is now stale (its commit moved the handle's sequence) and
-        // re-forks at its next statement.
-        if self.shared.is_none() {
-            self.engine.replace_db((*active.handle.committed()).clone());
-        }
-        Ok(info)
+        // a publishing commit moves the handle's sequence: the session is
+        // then stale and re-forks at its next statement
+        active.txn.commit()
     }
 
     /// Drop the open transaction's overlay (the `ABORT` statement). The
@@ -684,46 +624,30 @@ impl Session {
         Ok(())
     }
 
-    /// Fold the shared handle's write-ahead log into a fresh bootstrap
-    /// image of the committed state (the `CHECKPOINT` statement). Requires
-    /// a shared session over a durable handle; commits are held off for
-    /// the duration, reads are not.
+    /// Fold the handle's write-ahead log into a fresh bootstrap image of
+    /// the committed state (the `CHECKPOINT` statement). Requires a durable
+    /// handle (`DbHandle::create_durable`/`open_durable`); commits are held
+    /// off for the duration, reads are not.
     pub fn checkpoint(&self) -> Result<mad_txn::CheckpointStats> {
-        match &self.shared {
-            Some(h) => h.checkpoint(),
-            None => Err(MadError::wal(
-                "CHECKPOINT requires a session over a shared durable handle \
-                 (Session::shared over DbHandle::create_durable/open_durable)",
-            )),
-        }
-    }
-
-    /// A fresh query engine over a fork of the transaction's view, carrying
-    /// the session's strategy preference. Queries enlarge this scratch fork
-    /// (propagation writes derived types into it) rather than the overlay,
-    /// so a committed transaction publishes only its logged DML.
-    fn fork_query_engine(&self, txn: &Transaction) -> Engine {
-        let mut qe = Engine::new(txn.db().clone());
-        qe.set_preferred_strategy(Some(self.engine.preferred_strategy()));
-        qe
+        self.handle.checkpoint()
     }
 
     fn execute_in_txn(&mut self, stmt: &Statement) -> Result<StatementResult> {
+        let strategy = self.strategy();
+        let Some(active) = self.txn.as_mut() else {
+            return Err(MadError::txn_state("no open transaction"));
+        };
         if is_dml(stmt) {
-            let active = self.txn.as_mut().expect("caller checked txn presence");
             let result = execute_dml(&mut active.txn, stmt)?;
             // the overlay changed: rebuild the query view over it
-            let active = self.txn.take().expect("still present");
-            let qe = self.fork_query_engine(&active.txn);
-            self.txn = Some(ActiveTxn { qe, ..active });
+            active.qe = query_engine(&active.txn, strategy);
             Ok(result)
         } else {
-            let active = self.txn.as_mut().expect("caller checked txn presence");
             execute(&mut active.qe, &mut self.catalog, stmt)
         }
     }
 
-    /// One DML statement in shared autocommit mode: an implicit
+    /// One DML statement outside a transaction (autocommit): an implicit
     /// transaction — begin, apply, commit; the commit leaves the session
     /// stale, so its next statement re-forks. The user never asked
     /// for a transaction, so a first-committer-wins conflict is retried
@@ -733,10 +657,9 @@ impl Session {
     /// names, integrity violations) propagate on the first attempt.
     fn execute_autocommit_dml(&mut self, stmt: &Statement) -> Result<StatementResult> {
         const MAX_RETRIES: usize = 16;
-        let handle = self.shared.clone().expect("caller checked shared mode");
         let mut attempt = 0;
         loop {
-            let mut txn = Transaction::begin(&handle);
+            let mut txn = Transaction::begin(&self.handle);
             let mut result = execute_dml(&mut txn, stmt)?;
             match txn.commit() {
                 Ok(info) => {
@@ -755,23 +678,31 @@ impl Session {
         }
     }
 
-    /// Shared mode: the one refresh point, and the only place a shared
-    /// session forks. Re-forks the committed image when any session
-    /// committed since the fork was taken, or when a statement ran through
-    /// the engine on it — so a query's DB′ (its propagated derived types)
-    /// lives until the session's next statement and is dropped here. The
-    /// fresh fork starts CSR-warm: the first reader of a published image
-    /// builds its snapshot once for every session ([`DbHandle::fork`]).
+    /// The one refresh point, and the only place a session forks. Re-forks
+    /// the committed image when any session committed since the fork was
+    /// taken, or when a statement ran through the engine on it — so a
+    /// query's DB′ (its propagated derived types) lives until the session's
+    /// next statement and is dropped here. The fresh fork starts CSR-warm:
+    /// the first reader of a published image builds its snapshot once for
+    /// every session ([`DbHandle::fork`]).
     fn refresh_if_stale(&mut self) {
-        if let Some(h) = &self.shared {
-            if self.scratch_dirty || h.commit_seq() != self.base_seq {
-                let (db, seq) = h.fork();
-                self.engine.replace_db(db);
-                self.base_seq = seq;
-                self.scratch_dirty = false;
-            }
+        if self.scratch_dirty || self.handle.commit_seq() != self.base_seq {
+            let (db, seq) = self.handle.fork();
+            self.engine.replace_db(db);
+            self.base_seq = seq;
+            self.scratch_dirty = false;
         }
     }
+}
+
+/// A fresh query engine over a fork of the transaction's view, carrying
+/// the session's strategy preference. Queries enlarge this scratch fork
+/// (propagation writes derived types into it) rather than the overlay, so
+/// a committed transaction publishes only its logged DML.
+fn query_engine(txn: &Transaction, strategy: Strategy) -> Engine {
+    let mut qe = Engine::new(txn.db().clone());
+    qe.set_preferred_strategy(Some(strategy));
+    qe
 }
 
 /// Split a script on `;` outside string literals, stripping `--` line
@@ -1032,7 +963,9 @@ mod tests {
         let StatementResult::Inserted(rj) = r else {
             panic!()
         };
-        assert!(s.db().atom_exists(rj));
+        // the commit is on the handle; the working image catches up at the
+        // next statement
+        assert!(s.handle().unwrap().committed().atom_exists(rj));
         let r = s
             .execute("INSERT ATOM area (aid = 9)")
             .unwrap();
@@ -1137,10 +1070,11 @@ mod tests {
 
     #[test]
     fn explain_reports_plan() {
-        let mut s = session();
-        s.engine_mut()
-            .create_index("state", "sname", mad_storage::IndexKind::Ordered)
+        let mut db = mini_geo();
+        let state = db.schema().atom_type_id("state").unwrap();
+        db.create_index(state, "sname", mad_storage::IndexKind::Ordered)
             .unwrap();
+        let mut s = Session::new(db);
         let r = s
             .execute("EXPLAIN SELECT ALL FROM state-area-edge WHERE state.sname = 'SP'")
             .unwrap();
@@ -1189,7 +1123,6 @@ mod tests {
     fn parallel_strategy_serves_selects() {
         let mut s = session();
         assert_eq!(s.parallelism(), 1, "bitset default is serial");
-        assert_eq!(s.csr_rebuild_stats(), None, "no snapshot before first SELECT");
         let serial = molecules(s.execute("SELECT ALL FROM state-area-edge-point").unwrap());
         s.set_strategy(Some(mad_core::derive::Strategy::Parallel(3)));
         assert_eq!(s.parallelism(), 3);
@@ -1380,10 +1313,10 @@ mod tests {
 
     #[test]
     fn checkpoint_requires_durable_shared_session() {
-        // single-owner sessions have no WAL
+        // `Session::new` opens a private, non-durable handle
         let mut s = session();
         assert!(s.execute("CHECKPOINT").is_err());
-        // shared but non-durable handles refuse too
+        // shared non-durable handles refuse too
         let mut s = Session::shared(DbHandle::new(mini_geo()));
         let err = s.execute("CHECKPOINT").unwrap_err();
         assert!(err.to_string().contains("durable"), "got {err}");

@@ -9,15 +9,17 @@
 //! # Protocol
 //!
 //! The cell keeps a monotonically increasing `epoch` counter and a fixed
-//! ring of `SLOTS` value slots. Publication `e` stores its value into slot
-//! `e % SLOTS` *before* bumping the epoch with `Release` ordering; readers
-//! load the epoch with `Acquire` and clone out of the slot it names.
-//! Because a writer for epoch `e` never touches slot `(e - 1) % SLOTS`,
-//! a reader that observed epoch `e - 1` copies its value out of a slot no
-//! in-flight publication is writing — readers are wait-free in practice
-//! (the per-slot mutex is only ever contended if a writer laps the entire
-//! ring while a reader is mid-clone, in which case the reader observes a
-//! *newer* value, never an older or torn one).
+//! ring of `SLOTS` value slots, each tagged with the epoch it holds.
+//! Publication `e` stores its value into slot `e % SLOTS` *before* bumping
+//! the epoch with `Release` ordering; readers load the epoch with
+//! `Acquire` and clone out of the slot it names. Because a writer for
+//! epoch `e` never touches slot `(e - 1) % SLOTS`, a reader that observed
+//! epoch `e - 1` copies its value out of a slot no in-flight publication
+//! is writing — readers are wait-free in practice. Only if writers lap the
+//! entire ring between a reader's epoch load and its slot lock does the
+//! slot hold a later epoch, possibly one not yet published; the reader
+//! then reloads the epoch and retries rather than return a value that a
+//! later read could precede.
 //!
 //! Writers are serialized by an internal ticket so the cell is safe to use
 //! standalone; `mad_txn` additionally serializes publications under its
@@ -27,8 +29,8 @@
 //!
 //! 1. The epoch only increases, and slot `e % SLOTS` holds the value of
 //!    some epoch `>= e` whenever `epoch >= e`.
-//! 2. A reader returns the value of an epoch `>=` the epoch it loaded:
-//!    reads are monotone and never torn.
+//! 2. A reader returns the value of exactly the epoch it loaded, which
+//!    was published: reads are monotone and never torn.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -42,7 +44,9 @@ const SLOTS: usize = 64;
 /// protocol and its invariants.
 pub struct EpochCell<T> {
     epoch: AtomicU64,
-    slots: Vec<Mutex<Option<T>>>,
+    /// `(epoch, value)` per slot; slot `e % SLOTS` holds epoch `e` or a
+    /// later one.
+    slots: Vec<Mutex<Option<(u64, T)>>>,
     /// Serializes writers; held only for the slot store + epoch bump.
     ticket: Mutex<()>,
 }
@@ -51,7 +55,7 @@ impl<T: Clone> EpochCell<T> {
     /// Create a cell publishing `initial` at epoch 0.
     pub fn new(initial: T) -> Self {
         let mut slots = Vec::with_capacity(SLOTS);
-        slots.push(Mutex::new(Some(initial)));
+        slots.push(Mutex::new(Some((0, initial))));
         for _ in 1..SLOTS {
             slots.push(Mutex::new(None));
         }
@@ -65,18 +69,25 @@ impl<T: Clone> EpochCell<T> {
     }
 
     /// Clone the current value. Never blocks on an in-flight publication
-    /// of the *next* epoch; may return a newer value than the epoch loaded
-    /// (reads are monotone).
+    /// of the *next* epoch, and never returns a value ahead of the
+    /// published epoch (reads are monotone).
     pub fn read(&self) -> T {
-        let e = self.epoch.load(Ordering::Acquire);
-        let slot = self
-            .slots
-            .get(e as usize % SLOTS)
-            .expect("slot index is taken modulo the ring size") // check: allow(panic, "index is e % SLOTS, always in range")
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        slot.clone()
-            .expect("published slot holds a value for every epoch <= current") // check: allow(panic, "invariant 1: slot e % SLOTS is populated before epoch reaches e")
+        loop {
+            let e = self.epoch.load(Ordering::Acquire);
+            let slot = self
+                .slots
+                .get(e as usize % SLOTS)
+                .expect("slot index is taken modulo the ring size") // check: allow(panic, "index is e % SLOTS, always in range")
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            let (held, value) = slot
+                .as_ref()
+                .expect("published slot holds a value for every epoch <= current"); // check: allow(panic, "invariant 1: slot e % SLOTS is populated before epoch reaches e")
+            if *held == e {
+                return value.clone();
+            }
+            // writers lapped the ring since `e` was loaded: retry
+        }
     }
 
     /// Publish a new value, returning the epoch it was published at.
@@ -92,7 +103,7 @@ impl<T: Clone> EpochCell<T> {
                 .expect("slot index is taken modulo the ring size") // check: allow(panic, "index is next % SLOTS, always in range")
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
-            *slot = Some(value);
+            *slot = Some((next, value));
         }
         self.epoch.store(next, Ordering::Release);
         next

@@ -62,7 +62,16 @@ fn main() -> mad::model::Result<()> {
                     continue;
                 }
                 ".stats" => {
-                    print!("{}", DatabaseStats::collect(session.db()).render());
+                    // outside a transaction, the committed image: the
+                    // session's working image catches up with a DML only
+                    // at its next statement
+                    let stats = match session.handle() {
+                        Some(h) if !session.in_transaction() => {
+                            DatabaseStats::collect(&h.committed())
+                        }
+                        _ => DatabaseStats::collect(session.db()),
+                    };
+                    print!("{}", stats.render());
                     continue;
                 }
                 ".catalog" => {

@@ -10,25 +10,28 @@
 #      the panic/cast ratchets, `#![forbid(unsafe_code)]` coverage and
 #      wire-tag exhaustiveness (see crates/check),
 #   5. rustdoc, warning-free (every crate carries `//!` module docs),
-#   6. the crash-recovery scenario end to end: mixed workload over a
+#   6. the walkthrough examples (quickstart, geographic,
+#      bill_of_materials, vlsi_library): `Session::new` sessions that
+#      run DML and queries and print the answers,
+#   7. the crash-recovery scenario end to end: mixed workload over a
 #      durable handle, kill at a random WAL record boundary, recovery,
 #      prefix-consistency verification (examples/durability.rs),
-#   7. the networked crash scenario on loopback: TCP clients against a
+#   8. the networked crash scenario on loopback: TCP clients against a
 #      durable server, kill mid-traffic, restart, acked-prefix
 #      verification (examples/network.rs),
-#   8. the pipelining stress scenario on loopback: N connections with
+#   9. the pipelining stress scenario on loopback: N connections with
 #      whole transaction groups in flight, a deterministic forced
 #      conflict answered in pipeline order, an abrupt mid-burst server
 #      kill, acked-prefix verification (examples/pipelining.rs),
-#   9. the replication failover scenario on loopback: sync-quorum
+#  10. the replication failover scenario on loopback: sync-quorum
 #      standbys under fault injection, kill the primary mid-traffic,
 #      promote a standby, acked-prefix verification on the promoted
 #      node (examples/failover.rs),
-#  10. the observability smoke: a real `madd --slow-query-ms 0` daemon
+#  11. the observability smoke: a real `madd --slow-query-ms 0` daemon
 #      driven over TCP by `madc`, asserting EXPLAIN ANALYZE renders a
 #      staged trace, SHOW STATS serves table + JSON forms, and the
 #      slow-query ring buffer recorded the traffic,
-#  11. the repository benchmark (perfbench/, a package outside the
+#  12. the repository benchmark (perfbench/, a package outside the
 #      workspace, so `--workspace` never builds it): its unit tests, and
 #      a 2-second `serve_read` smoke that must verify every answer — an
 #      API change in a serving crate cannot break the benchmark unnoticed.
@@ -54,6 +57,11 @@ cargo run --release --quiet -p mad-check
 
 echo "== cargo doc --workspace --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
+for ex in quickstart geographic bill_of_materials vlsi_library; do
+  echo "== walkthrough example (examples/$ex.rs)"
+  cargo run --release --quiet --example "$ex" >/dev/null
+done
 
 echo "== crash-recovery scenario (examples/durability.rs)"
 cargo run --release --quiet --example durability
