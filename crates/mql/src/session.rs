@@ -998,7 +998,12 @@ mod tests {
             r,
             StatementResult::Deleted { atoms: 1, links: 0 }
         ));
-        assert!(s.db().audit_referential_integrity().is_empty());
+        assert!(s
+            .handle()
+            .unwrap()
+            .committed()
+            .audit_referential_integrity()
+            .is_empty());
     }
 
     #[test]
@@ -1010,7 +1015,12 @@ mod tests {
         };
         assert_eq!(atoms, 1);
         assert_eq!(links, 5, "a1,a2,n1 plus p1,p2");
-        assert!(s.db().audit_referential_integrity().is_empty());
+        assert!(s
+            .handle()
+            .unwrap()
+            .committed()
+            .audit_referential_integrity()
+            .is_empty());
     }
 
     #[test]
@@ -1347,7 +1357,9 @@ mod tests {
         assert!(text.contains("statement 1"), "got: {text}");
         assert!(text.contains("ghost"), "got: {text}");
         // statement 0 did execute, statement 2 did not
-        assert_eq!(s.db().atom_count(s.db().schema().atom_type_id("state").unwrap()), 3);
+        let committed = s.handle().unwrap().committed();
+        let state = committed.schema().atom_type_id("state").unwrap();
+        assert_eq!(committed.atom_count(state), 3);
     }
 
     #[test]

@@ -65,11 +65,11 @@ fn main() -> mad::model::Result<()> {
                     // outside a transaction, the committed image: the
                     // session's working image catches up with a DML only
                     // at its next statement
-                    let stats = match session.handle() {
-                        Some(h) if !session.in_transaction() => {
-                            DatabaseStats::collect(&h.committed())
-                        }
-                        _ => DatabaseStats::collect(session.db()),
+                    let stats = if session.in_transaction() {
+                        DatabaseStats::collect(session.db())
+                    } else {
+                        let handle = session.handle().expect("every session has a handle");
+                        DatabaseStats::collect(&handle.committed())
                     };
                     print!("{}", stats.render());
                     continue;

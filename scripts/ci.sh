@@ -10,9 +10,10 @@
 #      the panic/cast ratchets, `#![forbid(unsafe_code)]` coverage and
 #      wire-tag exhaustiveness (see crates/check),
 #   5. rustdoc, warning-free (every crate carries `//!` module docs),
-#   6. the walkthrough examples (quickstart, geographic,
-#      bill_of_materials, vlsi_library): `Session::new` sessions that
-#      run DML and queries and print the answers,
+#   6. the walkthrough examples: quickstart, geographic and
+#      bill_of_materials run DML and queries through a `Session::new`
+#      session and print the answers; vlsi_library drives the algebra
+#      `Engine` directly,
 #   7. the crash-recovery scenario end to end: mixed workload over a
 #      durable handle, kill at a random WAL record boundary, recovery,
 #      prefix-consistency verification (examples/durability.rs),

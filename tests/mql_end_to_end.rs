@@ -122,7 +122,12 @@ fn dml_session_lifecycle() {
         panic!()
     };
     assert_eq!((atoms, links), (1, 1));
-    assert!(s.db().audit_referential_integrity().is_empty());
+    assert!(s
+        .handle()
+        .unwrap()
+        .committed()
+        .audit_referential_integrity()
+        .is_empty());
 }
 
 #[test]
